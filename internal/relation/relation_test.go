@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +184,37 @@ func TestTemporalValidation(t *testing.T) {
 	dt.Orders[ai].Add(2, 0)
 	if err := dt.Validate(); err == nil {
 		t.Error("cyclic base order accepted")
+	}
+}
+
+// TestValidateNamesCyclicEntity checks that a cycle or reflexive pair
+// inside one entity is reported against that entity and attribute, even
+// when other entities carry valid orders.
+func TestValidateNamesCyclicEntity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]int
+	}{
+		{"cycle", [][2]int{{3, 4}, {4, 5}, {5, 3}}},
+		{"reflexive", [][2]int{{4, 4}}},
+	} {
+		dt := buildTemporal(t)
+		dt.MustAdd(Tuple{S("e2"), I(5), I(50)})
+		dt.MustAdd(Tuple{S("e2"), I(6), I(60)})
+		dt.MustAddOrder("A", 0, 1)
+		dt.MustAddOrder("B", 0, 2)
+		bi, _ := dt.Schema.AttrIndex("B")
+		for _, p := range tc.pairs {
+			dt.Orders[bi].Add(p[0], p[1])
+		}
+		err := dt.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+			continue
+		}
+		if want := `R.B on entity "e2"`; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+		}
 	}
 }
 

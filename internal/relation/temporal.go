@@ -87,6 +87,12 @@ func (dt *TemporalInstance) Validate() error {
 					dt.Schema.Name, dt.Schema.Attrs[ai], dt.Label(p.A), dt.Label(p.B))
 			}
 		}
+		// No pair crosses entities, so one acyclicity check covers every
+		// entity at once (a reflexive pair is a cycle too); only a failure
+		// pays for the per-entity scan that names the offending entity.
+		if !ps.HasCycle() {
+			continue
+		}
 		for _, g := range dt.Entities() {
 			if err := ps.IsStrictPartialOrderOn(g.Members); err != nil {
 				return fmt.Errorf("relation: %s.%s on entity %s: %w",

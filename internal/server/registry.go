@@ -7,6 +7,8 @@ import (
 	"sync"
 
 	"currency/internal/parse"
+	"currency/internal/spec"
+	"currency/internal/tractable"
 )
 
 // Entry is one registered specification version. Entries are immutable
@@ -23,6 +25,35 @@ type Entry struct {
 	// re-marshaled, so GET always returns a form that parses back.
 	Source string
 	File   *parse.File
+
+	// ptime and relaxed are the Section-6 views of File.Spec and of its
+	// constraint-relaxed form, each built on first use. An Entry is never
+	// mutated and a PATCH publishes a new one, so a view cannot go stale.
+	ptime, relaxed lazyView
+}
+
+// lazyView builds a tractable view at most once.
+type lazyView struct {
+	once sync.Once
+	v    *tractable.View
+	err  error
+}
+
+func (l *lazyView) get(s *spec.Spec) (*tractable.View, error) {
+	l.once.Do(func() { l.v, l.err = tractable.NewView(s) })
+	return l.v, l.err
+}
+
+// view returns the PTIME route's view of the entry's constraint-free
+// specification.
+func (e *Entry) view() (*tractable.View, error) { return e.ptime.get(e.File.Spec) }
+
+// relaxedView returns the view of the entry's specification with its
+// denial constraints dropped, which degraded answers are read from.
+func (e *Entry) relaxedView() (*tractable.View, error) {
+	relaxed := *e.File.Spec
+	relaxed.Constraints = nil
+	return e.relaxed.get(&relaxed)
 }
 
 // Registry is the versioned spec store. All methods are safe for

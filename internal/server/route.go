@@ -102,14 +102,14 @@ func ptimeEligible(e *Entry, op api.Op, q *query.Query) bool {
 }
 
 func (s *Server) decidePTime(e *Entry, req *api.DecisionRequest, q *query.Query) (api.DecisionResult, error) {
-	sp := e.File.Spec
 	out := api.DecisionResult{Engine: api.EnginePTime}
+	v, err := e.view()
+	if err != nil {
+		return out, err
+	}
 	switch req.Op {
 	case api.OpConsistent:
-		ok, err := tractable.Consistent(sp)
-		if err != nil {
-			return out, err
-		}
+		ok := v.Consistent()
 		out.Holds = &ok
 
 	case api.OpCertainOrder:
@@ -117,46 +117,23 @@ func (s *Server) decidePTime(e *Entry, req *api.DecisionRequest, q *query.Query)
 		if err != nil {
 			return out, err
 		}
-		conv := make([]tractable.OrderRequirement, len(reqs))
-		for i, r := range reqs {
-			conv[i] = tractable.OrderRequirement{Rel: r.Rel, Attr: r.Attr, I: r.I, J: r.J}
-		}
-		ok, err := tractable.CertainOrder(sp, conv)
+		ok, err := v.CertainOrder(ptimeOrders(reqs))
 		if err != nil {
 			return out, err
 		}
 		out.Holds = &ok
-		if ok {
-			if consistent, err := tractable.Consistent(sp); err == nil && !consistent {
-				out.VacuouslyTrue = true
-			}
-		}
+		out.VacuouslyTrue = ok && !v.Consistent()
 
 	case api.OpDeterministic:
-		rels, err := targetRelations(e, req.Relation)
+		ok, err := deterministicPTime(v, e, req.Relation)
 		if err != nil {
 			return out, err
 		}
-		ok := true
-		for _, rel := range rels {
-			det, err := tractable.Deterministic(sp, rel)
-			if err != nil {
-				return out, err
-			}
-			if !det {
-				ok = false
-				break
-			}
-		}
 		out.Holds = &ok
-		if ok {
-			if consistent, err := tractable.Consistent(sp); err == nil && !consistent {
-				out.VacuouslyTrue = true
-			}
-		}
+		out.VacuouslyTrue = ok && !v.Consistent()
 
 	case api.OpCertainAnswers:
-		res, consistent, err := tractable.CertainAnswersSP(sp, q)
+		res, consistent, err := v.CertainAnswersSP(q)
 		if err != nil {
 			return out, err
 		}
@@ -167,14 +144,14 @@ func (s *Server) decidePTime(e *Entry, req *api.DecisionRequest, q *query.Query)
 		}
 
 	case api.OpCurrencyPreserving:
-		ok, err := tractable.CurrencyPreservingSP(sp, q)
+		ok, err := tractable.CurrencyPreservingSP(e.File.Spec, q)
 		if err != nil {
 			return out, err
 		}
 		out.Holds = &ok
 
 	case api.OpBoundedCopying:
-		ok, witness, err := tractable.BoundedCopyingSP(sp, q, req.K)
+		ok, witness, err := tractable.BoundedCopyingSP(e.File.Spec, q, req.K)
 		if err != nil {
 			return out, err
 		}
@@ -184,6 +161,30 @@ func (s *Server) decidePTime(e *Entry, req *api.DecisionRequest, q *query.Query)
 		}
 	}
 	return out, nil
+}
+
+// ptimeOrders converts resolved order requirements to the tractable form.
+func ptimeOrders(reqs []core.OrderRequirement) []tractable.OrderRequirement {
+	out := make([]tractable.OrderRequirement, len(reqs))
+	for i, r := range reqs {
+		out[i] = tractable.OrderRequirement{Rel: r.Rel, Attr: r.Attr, I: r.I, J: r.J}
+	}
+	return out
+}
+
+// deterministicPTime decides a deterministic request's relations (one, or
+// all when rel is empty) on a view: true iff every one is deterministic.
+func deterministicPTime(v *tractable.View, e *Entry, rel string) (bool, error) {
+	rels, err := targetRelations(e, rel)
+	if err != nil {
+		return false, err
+	}
+	for _, rel := range rels {
+		if det, err := v.Deterministic(rel); err != nil || !det {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 func (s *Server) decideExact(ctx context.Context, e *Entry, req *api.DecisionRequest, q *query.Query) (api.DecisionResult, error) {
@@ -331,14 +332,20 @@ func (s *Server) degrade(e *Entry, req *api.DecisionRequest, q *query.Query, cau
 		s.metrics.timeouts.Inc()
 	}
 	out := api.DecisionResult{Engine: api.EngineExact, Indeterminate: true, Reason: reason}
-	relaxed := *e.File.Spec
-	relaxed.Constraints = nil
+	if req.Op == api.OpCurrencyPreserving || req.Op == api.OpBoundedCopying {
+		return out, nil
+	}
+	v, err := e.relaxedView()
+	if err != nil {
+		return out, nil
+	}
+	degraded := api.DecisionResult{Engine: api.EnginePTime, Degraded: true, Reason: reason}
 
 	switch req.Op {
 	case api.OpConsistent:
-		if ok, err := tractable.Consistent(&relaxed); err == nil && !ok {
-			f := false
-			out = api.DecisionResult{Engine: api.EnginePTime, Degraded: true, Reason: reason, Holds: &f}
+		if ok := v.Consistent(); !ok {
+			out = degraded
+			out.Holds = &ok
 		}
 
 	case api.OpCertainOrder:
@@ -346,42 +353,26 @@ func (s *Server) degrade(e *Entry, req *api.DecisionRequest, q *query.Query, cau
 		if err != nil {
 			break
 		}
-		conv := make([]tractable.OrderRequirement, len(reqs))
-		for i, r := range reqs {
-			conv[i] = tractable.OrderRequirement{Rel: r.Rel, Attr: r.Attr, I: r.I, J: r.J}
-		}
-		if ok, err := tractable.CertainOrder(&relaxed, conv); err == nil && ok {
-			t := true
-			out = api.DecisionResult{Engine: api.EnginePTime, Degraded: true, Reason: reason, Holds: &t}
+		if ok, err := v.CertainOrder(ptimeOrders(reqs)); err == nil && ok {
+			out = degraded
+			out.Holds = &ok
 		}
 
 	case api.OpDeterministic:
-		rels, err := targetRelations(e, req.Relation)
-		if err != nil {
-			break
-		}
-		all := true
-		for _, rel := range rels {
-			det, err := tractable.Deterministic(&relaxed, rel)
-			if err != nil || !det {
-				all = false
-				break
-			}
-		}
-		if all {
-			t := true
-			out = api.DecisionResult{Engine: api.EnginePTime, Degraded: true, Reason: reason, Holds: &t}
+		if ok, err := deterministicPTime(v, e, req.Relation); err == nil && ok {
+			out = degraded
+			out.Holds = &ok
 		}
 
 	case api.OpCertainAnswers:
 		if q == nil || !query.IsSP(q) {
 			break
 		}
-		res, consistent, err := tractable.CertainAnswersSP(&relaxed, q)
+		res, consistent, err := v.CertainAnswersSP(q)
 		if err != nil {
 			break
 		}
-		out = api.DecisionResult{Engine: api.EnginePTime, Degraded: true, Reason: reason}
+		out = degraded
 		if !consistent {
 			// Mod(relaxed) empty forces Mod(S) empty: vacuous, exactly.
 			out.VacuouslyTrue = true

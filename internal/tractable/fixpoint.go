@@ -14,14 +14,17 @@
 // These implementations are independent of the exact solver in
 // internal/osolve and are differentially tested against it.
 //
-// Routing note: the exact engine now also exploits per-entity structure —
-// it decomposes the problem into connected components of its ground-rule
-// graph and searches them independently (see internal/osolve) — but its
-// per-component search is still worst-case exponential in the component
-// size. The algorithms here remain strictly polynomial, so the server's
-// auto-routing (internal/server) keeps preferring them whenever a request
-// is in scope: no denial constraints, and an SP query for the
-// query-dependent problems.
+// Routing note: PO∞ depends on the specification only, not on the
+// question asked of it. View freezes one fixpoint into a compact
+// read-only form that answers CPS and COP by lookup, DCIP by a flag and
+// SP certain answers by one scan of the query relation's entities. The
+// server's auto-routing (internal/server) builds one View per
+// specification version on first use and answers every in-scope request
+// from it: no denial constraints, and an SP query for the query-dependent
+// problems. The package-level functions build a fresh View per call. The
+// exact engine decomposes its search into connected components, but each
+// component's search is still worst-case exponential; building a View is
+// strictly polynomial.
 package tractable
 
 import (
@@ -160,11 +163,11 @@ func POInfinity(s *spec.Spec) (*PO, error) {
 // Consistent decides CPS for constraint-free specifications in PTIME
 // (Theorem 6.1).
 func Consistent(s *spec.Spec) (bool, error) {
-	po, err := POInfinity(s)
+	v, err := NewView(s)
 	if err != nil {
 		return false, err
 	}
-	return po.Consistent, nil
+	return v.Consistent(), nil
 }
 
 // OrderRequirement mirrors core.OrderRequirement without importing it:
@@ -175,151 +178,57 @@ type OrderRequirement struct {
 	I, J int
 }
 
-// CertainOrder decides COP for constraint-free specifications in PTIME:
-// by Lemma 6.2, a pair is certain iff it lies in PO∞. Vacuously true when
-// the specification is inconsistent.
+// CertainOrder decides COP for constraint-free specifications in PTIME;
+// see View.CertainOrder.
 func CertainOrder(s *spec.Spec, reqs []OrderRequirement) (bool, error) {
-	po, err := POInfinity(s)
+	v, err := NewView(s)
 	if err != nil {
 		return false, err
 	}
-	if !po.Consistent {
-		return true, nil
-	}
-	for _, req := range reqs {
-		r, ok := s.Relation(req.Rel)
-		if !ok {
-			return false, fmt.Errorf("tractable: unknown relation %s", req.Rel)
-		}
-		ai, ok := r.Schema.AttrIndex(req.Attr)
-		if !ok {
-			return false, fmt.Errorf("tractable: unknown attribute %s.%s", req.Rel, req.Attr)
-		}
-		if !po.Has(req.Rel, ai, req.I, req.J) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// sinks returns the members of group with no PO∞ successor inside the
-// group: the tuples that can be most current in some completion.
-func sinks(ps *order.PairSet, group []int) []int {
-	var out []int
-	for _, i := range group {
-		isSink := true
-		for _, j := range group {
-			if i != j && ps.Has(i, j) {
-				isSink = false
-				break
-			}
-		}
-		if isSink {
-			out = append(out, i)
-		}
-	}
-	return out
+	return v.CertainOrder(reqs)
 }
 
 // Deterministic decides DCIP for constraint-free specifications in PTIME
-// (Theorem 6.1): the current instance of rel is unique iff, per attribute
-// and entity, all PO∞ sinks agree on the attribute value. Vacuously true
-// when the specification is inconsistent.
+// (Theorem 6.1); see View.Deterministic.
 func Deterministic(s *spec.Spec, rel string) (bool, error) {
-	po, err := POInfinity(s)
+	v, err := NewView(s)
 	if err != nil {
 		return false, err
 	}
-	if !po.Consistent {
-		return true, nil
-	}
-	r, ok := s.Relation(rel)
-	if !ok {
-		return false, fmt.Errorf("tractable: unknown relation %s", rel)
-	}
-	sets := po.Sets[rel]
-	for _, ai := range r.Schema.NonEIDIndexes() {
-		for _, g := range r.Entities() {
-			sk := sinks(sets[ai], g.Members)
-			for _, i := range sk[1:] {
-				if r.Tuples[i][ai] != r.Tuples[sk[0]][ai] {
-					return false, nil
-				}
-			}
-		}
-	}
-	return true, nil
+	return v.Deterministic(rel)
 }
 
-// CertainPairs exports PO∞ as order requirements for comparison with the
-// exact reasoner in tests.
-func CertainPairs(s *spec.Spec) ([]OrderRequirement, bool, error) {
-	po, err := POInfinity(s)
-	if err != nil {
-		return nil, false, err
-	}
-	if !po.Consistent {
-		return nil, false, nil
-	}
-	var out []OrderRequirement
-	for _, r := range s.Relations {
-		sets := po.Sets[r.Schema.Name]
-		for _, ai := range r.Schema.NonEIDIndexes() {
-			for _, p := range sets[ai].Pairs() {
-				out = append(out, OrderRequirement{
-					Rel: r.Schema.Name, Attr: r.Schema.Attrs[ai], I: p.A, J: p.B,
-				})
-			}
-		}
-	}
-	return out, true, nil
-}
-
-// poss builds the poss(S) instance of Proposition 6.3 for one relation:
-// one tuple per entity whose attribute values are the unique possible
-// current value, or a fresh labelled null when several current values are
-// possible. freshBase seeds distinct null ids.
-func poss(r *relation.TemporalInstance, sets []*order.PairSet, freshBase *int64) *relation.Instance {
-	out := relation.NewInstance(r.Schema)
-	for _, g := range r.Entities() {
-		t := make(relation.Tuple, r.Schema.Arity())
-		t[r.Schema.EIDIndex] = g.EID
-		for _, ai := range r.Schema.NonEIDIndexes() {
-			sk := sinks(sets[ai], g.Members)
-			unique := true
-			for _, i := range sk[1:] {
-				if r.Tuples[i][ai] != r.Tuples[sk[0]][ai] {
-					unique = false
-					break
-				}
-			}
-			if unique {
-				t[ai] = r.Tuples[sk[0]][ai]
-			} else {
-				*freshBase++
-				t[ai] = relation.Fresh(*freshBase)
-			}
-		}
-		out.MustAdd(t)
-	}
-	return out
-}
-
-// Poss computes poss(S) for every relation of a constraint-free
-// specification, keyed by relation name. Returns nil instances and
-// ok=false when the specification is inconsistent.
+// Poss computes poss(S) of Proposition 6.3 for every relation of a
+// constraint-free specification, keyed by relation name: one tuple per
+// entity whose attribute values are the unique possible current value, or
+// a distinct fresh labelled null when several current values are
+// possible. Returns nil instances and ok=false when the specification is
+// inconsistent.
 func Poss(s *spec.Spec) (map[string]*relation.Instance, bool, error) {
-	po, err := POInfinity(s)
+	v, err := NewView(s)
 	if err != nil {
 		return nil, false, err
 	}
-	if !po.Consistent {
+	if !v.consistent {
 		return nil, false, nil
 	}
-	var freshBase int64
+	var fresh int64
 	out := make(map[string]*relation.Instance, len(s.Relations))
 	for _, r := range s.Relations {
-		out[r.Schema.Name] = poss(r, po.Sets[r.Schema.Name], &freshBase)
+		rv := v.rels[r.Schema.Name]
+		inst := relation.NewInstance(r.Schema)
+		for e := range rv.entity {
+			t := make(relation.Tuple, r.Schema.Arity())
+			t[r.Schema.EIDIndex] = rv.eid(e)
+			for _, ai := range r.Schema.NonEIDIndexes() {
+				if t[ai] = rv.value(e, ai); t[ai].IsFresh() {
+					fresh++
+					t[ai] = relation.Fresh(fresh)
+				}
+			}
+			inst.MustAdd(t)
+		}
+		out[r.Schema.Name] = inst
 	}
 	return out, true, nil
 }

@@ -106,30 +106,24 @@ func applyEntityAtom(s *spec.Spec, rel string, eid relation.Value, a entityAtom)
 // the entity's poss tuple, if any. ok=false marks an inconsistent
 // extension (to be skipped), via the consistent flag.
 func entityContribution(s *spec.Spec, shape query.SPShape, eid relation.Value) (relation.Tuple, bool, bool, error) {
-	po, err := POInfinity(s)
+	v, err := NewView(s)
 	if err != nil {
 		return nil, false, false, err
 	}
-	if !po.Consistent {
+	if !v.consistent {
 		return nil, false, false, nil
 	}
-	r, _ := s.Relation(shape.Rel)
-	var freshBase int64
-	inst := poss(r, po.Sets[shape.Rel], &freshBase)
-	for _, t := range inst.Tuples {
-		if t[r.Schema.EIDIndex] == eid {
-			row, ok := evalSPOnTuple(shape, t)
-			return row, ok, true, nil
-		}
-	}
-	return nil, false, true, nil
+	row, ok := v.contribution(shape, eid)
+	return row, ok, true, nil
 }
 
 // reachableContributions enumerates the contribution values reachable for
-// entity eid via consistent extensions of size ≤ witness (including the
-// empty extension), as a set of answer keys mapped to representative rows.
-func reachableContributions(s *spec.Spec, shape query.SPShape, eid relation.Value, atoms []entityAtom, witness int) (map[string]relation.Tuple, error) {
-	out := make(map[string]relation.Tuple)
+// entity eid via consistent extensions of size ≤ witness, as a set of
+// answer keys mapped to representative rows. The empty extension
+// contributes base, the entity's row on the unextended specification
+// under key baseKey.
+func reachableContributions(s *spec.Spec, shape query.SPShape, eid relation.Value, baseKey string, base relation.Tuple, atoms []entityAtom, witness int) (map[string]relation.Tuple, error) {
+	out := map[string]relation.Tuple{baseKey: base}
 	var rec func(start int, cur *spec.Spec, depth int) error
 	record := func(cur *spec.Spec) error {
 		row, ok, consistent, err := entityContribution(cur, shape, eid)
@@ -162,9 +156,6 @@ func reachableContributions(s *spec.Spec, shape query.SPShape, eid relation.Valu
 			}
 		}
 		return nil
-	}
-	if err := record(s); err != nil {
-		return nil, err
 	}
 	if err := rec(0, s, 0); err != nil {
 		return nil, err
@@ -220,26 +211,25 @@ func CurrencyPreservingSPWitness(s *spec.Spec, q *query.Query, witness int) (boo
 	if !po.Consistent {
 		return false, nil // CPP requires Mod(S) ≠ ∅
 	}
-	r, ok := s.Relation(shape.Rel)
+	rv, ok := freeze(s, po).rels[shape.Rel]
 	if !ok {
 		return false, fmt.Errorf("tractable: query %s references unknown relation %s", q.Name, shape.Rel)
 	}
 	atoms := entityAtomsFor(s, shape.Rel)
 
-	// Base contributions and the base certain answers O.
+	// Base contributions and the base certain answers O, all read off the
+	// one fixpoint of the unextended specification.
 	type contribution struct {
 		eid relation.Value
+		row relation.Tuple
 		key string
 	}
 	var baseContribs []contribution
 	inO := make(map[string]bool)
-	for _, eid := range r.EntityIDs() {
-		row, ok, _, err := entityContribution(s, shape, eid)
-		if err != nil {
-			return false, err
-		}
+	for e := range rv.entity {
+		row, ok := rv.answer(shape, e)
 		k := spAnswerKey(row, ok)
-		baseContribs = append(baseContribs, contribution{eid, k})
+		baseContribs = append(baseContribs, contribution{rv.eid(e), row, k})
 		if ok {
 			inO[k] = true
 		}
@@ -248,7 +238,7 @@ func CurrencyPreservingSPWitness(s *spec.Spec, q *query.Query, witness int) (boo
 	// reach(e) per entity; check condition (a) on the fly.
 	pinned := make(map[string]bool)
 	for _, bc := range baseContribs {
-		reach, err := reachableContributions(s, shape, bc.eid, atoms, witness)
+		reach, err := reachableContributions(s, shape, bc.eid, bc.key, bc.row, atoms, witness)
 		if err != nil {
 			return false, err
 		}

@@ -1,90 +1,16 @@
 package tractable
 
 import (
-	"fmt"
-
 	"currency/internal/query"
-	"currency/internal/relation"
 	"currency/internal/spec"
 )
 
-// evalSPOnTuple applies an SP query to a single candidate tuple (one
-// entity's poss tuple), returning the projected answer row or ok=false
-// when the selection fails. Selections never match fresh labelled nulls
-// against anything (a fresh value equals only itself and two distinct
-// attributes never share a fresh value by construction); rows that would
-// project a fresh value are rejected, implementing the Qˆ(poss(S)) step of
-// Proposition 6.3.
-func evalSPOnTuple(shape query.SPShape, t relation.Tuple) (relation.Tuple, bool) {
-	for _, eq := range shape.VarEq {
-		a, b := t[eq[0]], t[eq[1]]
-		if a.IsFresh() || b.IsFresh() || a != b {
-			return nil, false
-		}
-	}
-	for _, ce := range shape.ConstEq {
-		v := t[ce.Pos]
-		if v.IsFresh() || v != ce.Const.Const {
-			return nil, false
-		}
-	}
-	row := make(relation.Tuple, len(shape.HeadPos))
-	for i, p := range shape.HeadPos {
-		v := t[p]
-		if v.IsFresh() {
-			return nil, false
-		}
-		row[i] = v
-	}
-	return row, true
-}
-
 // CertainAnswersSP computes the certain current answers of an SP query on
-// a constraint-free specification in PTIME (Proposition 6.3): evaluate the
-// query on poss(S) and drop rows touching fresh nulls. The bool reports
-// whether Mod(S) is non-empty; for an inconsistent specification every
-// tuple is vacuously certain and the result is nil.
+// a constraint-free specification in PTIME; see View.CertainAnswersSP.
 func CertainAnswersSP(s *spec.Spec, q *query.Query) (*query.Result, bool, error) {
-	shape, ok := query.AsSP(q)
-	if !ok {
-		return nil, false, fmt.Errorf("tractable: query %s is not an SP query", q.Name)
-	}
-	posses, consistent, err := Poss(s)
+	v, err := NewView(s)
 	if err != nil {
 		return nil, false, err
 	}
-	if !consistent {
-		return nil, false, nil
-	}
-	inst, ok := posses[shape.Rel]
-	if !ok {
-		return nil, false, fmt.Errorf("tractable: query %s references unknown relation %s", q.Name, shape.Rel)
-	}
-	res := &query.Result{Cols: append([]string(nil), q.Head...)}
-	seen := make(map[string]bool)
-	for _, t := range inst.Tuples {
-		row, ok := evalSPOnTuple(shape, t)
-		if !ok {
-			continue
-		}
-		k := row.Key()
-		if !seen[k] {
-			seen[k] = true
-			res.Rows = append(res.Rows, row)
-		}
-	}
-	res.Sort()
-	return res, true, nil
-}
-
-// IsCertainAnswerSP decides CCQA(SP) without denial constraints in PTIME.
-func IsCertainAnswerSP(s *spec.Spec, q *query.Query, t relation.Tuple) (bool, error) {
-	res, consistent, err := CertainAnswersSP(s, q)
-	if err != nil {
-		return false, err
-	}
-	if !consistent {
-		return true, nil
-	}
-	return res.Contains(t), nil
+	return v.CertainAnswersSP(q)
 }
