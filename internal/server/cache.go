@@ -9,8 +9,8 @@ import (
 )
 
 // reasonerKey identifies a grounded reasoner: one spec id at one version.
-// A version bump yields a new key, so stale reasoners age out of the LRU
-// instead of ever being served for the updated spec.
+// A version bump yields a new key, so a stale reasoner is never served
+// for the updated spec.
 type reasonerKey struct {
 	id      string
 	version int
@@ -47,13 +47,19 @@ func (e *cacheEntry) build(f func() (*core.Reasoner, error)) (*core.Reasoner, er
 // safe because the exact read path never mutates reasoner or spec (see
 // the concurrency notes on core.Reasoner).
 //
+// The cache holds only the live version of each spec: the registry never
+// resolves a superseded version again, so inserting (id, v) drops the
+// entry for any older version of id, and a request still holding an
+// older Entry re-grounds it without caching the result. Capacity
+// therefore counts specs, not versions.
+//
 // A capacity of 0 disables caching: every Get grounds afresh. That mode
 // exists for the cache-speedup benchmark and as an operator escape hatch.
 type ReasonerCache struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used; values are *cacheEntry
-	items map[reasonerKey]*list.Element
+	ll    *list.List               // front = most recently used; values are *cacheEntry
+	items map[string]*list.Element // by spec id; one version per id
 
 	// hits/misses are atomics so the counters never extend the critical
 	// section and the disabled-cache path stays lock-free.
@@ -70,7 +76,7 @@ func NewReasonerCache(capacity int) *ReasonerCache {
 	return &ReasonerCache{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[reasonerKey]*list.Element),
+		items: make(map[string]*list.Element),
 	}
 }
 
@@ -87,22 +93,25 @@ func (c *ReasonerCache) Get(key reasonerKey, build func() (*core.Reasoner, error
 	}
 
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.hits.Add(1)
-		c.ll.MoveToFront(el)
+	if el, ok := c.items[key.id]; ok {
 		e := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		return e.build(build)
+		switch {
+		case e.key.version == key.version:
+			c.hits.Add(1)
+			c.ll.MoveToFront(el)
+			c.mu.Unlock()
+			return e.build(build)
+		case e.key.version > key.version:
+			// A superseded version: answer the straggler without
+			// evicting the live reasoner.
+			c.misses.Add(1)
+			c.mu.Unlock()
+			return build()
+		}
 	}
 	c.misses.Add(1)
 	e := &cacheEntry{key: key}
-	el := c.ll.PushFront(e)
-	c.items[key] = el
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
+	c.insert(e)
 	c.mu.Unlock()
 
 	if _, err := e.build(build); err != nil {
@@ -110,14 +119,28 @@ func (c *ReasonerCache) Get(key reasonerKey, build func() (*core.Reasoner, error
 		// the next request retries (waiters that already joined this entry
 		// still observe the error through the Once).
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok && el.Value.(*cacheEntry) == e {
+		if el, ok := c.items[key.id]; ok && el.Value.(*cacheEntry) == e {
 			c.ll.Remove(el)
-			delete(c.items, key)
+			delete(c.items, key.id)
 		}
 		c.mu.Unlock()
 		return nil, e.err
 	}
 	return e.r, nil
+}
+
+// insert makes e the id's cached version, dropping any older one, and
+// evicts least recently used specs beyond capacity. Callers hold c.mu.
+func (c *ReasonerCache) insert(e *cacheEntry) {
+	if el, ok := c.items[e.key.id]; ok {
+		c.ll.Remove(el)
+	}
+	c.items[e.key.id] = c.ll.PushFront(e)
+	for c.ll.Len() > c.cap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*cacheEntry).key.id)
+	}
 }
 
 // Peek returns the reasoner cached for key when its grounding already
@@ -129,12 +152,12 @@ func (c *ReasonerCache) Peek(key reasonerKey) (*core.Reasoner, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[key.id]
 	if !ok {
 		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
-	if !e.ready.Load() || e.err != nil {
+	if e.key != key || !e.ready.Load() || e.err != nil {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
@@ -146,7 +169,8 @@ func (c *ReasonerCache) Peek(key reasonerKey) (*core.Reasoner, bool) {
 // scratch). The PATCH path builds the successor BEFORE the registry
 // publishes the new version, so a failed build leaves every layer
 // untouched; Install only ever records a success. An existing entry for
-// the key is kept (idempotent retries).
+// the key is kept (idempotent retries), and a version older than the
+// cached one is not installed (a racing patch already superseded it).
 func (c *ReasonerCache) Install(key reasonerKey, r *core.Reasoner, patched bool) {
 	if patched {
 		c.patched.Add(1)
@@ -158,8 +182,7 @@ func (c *ReasonerCache) Install(key reasonerKey, r *core.Reasoner, patched bool)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if el, ok := c.items[key.id]; ok && el.Value.(*cacheEntry).key.version >= key.version {
 		return
 	}
 	e := &cacheEntry{key: key}
@@ -170,25 +193,18 @@ func (c *ReasonerCache) Install(key reasonerKey, r *core.Reasoner, patched bool)
 		e.r = r
 		e.ready.Store(true)
 	})
-	c.items[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
+	c.insert(e)
 }
 
-// InvalidateSpec drops every cached version of the given spec id; called
-// on spec deletion (updates need no eviction — they change the key — but
-// deletion should release memory promptly).
+// InvalidateSpec drops the cached reasoner of the given spec id; called
+// on spec deletion (updates replace it on insert, but deletion should
+// release memory promptly).
 func (c *ReasonerCache) InvalidateSpec(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.items {
-		if key.id == id {
-			c.ll.Remove(el)
-			delete(c.items, key)
-		}
+	if el, ok := c.items[id]; ok {
+		c.ll.Remove(el)
+		delete(c.items, id)
 	}
 }
 

@@ -39,9 +39,6 @@ import (
 	"currency/internal/api"
 	"currency/internal/chaos"
 	"currency/internal/cluster"
-	"currency/internal/core"
-	"currency/internal/obs"
-	"currency/internal/parse"
 )
 
 // ClusterOptions configures the cluster layer of a Server. Leaving the
@@ -211,9 +208,13 @@ func (cs *clusterState) replicateRegister(e *Entry) {
 	if !cs.ring.IsOwner(e.ID, cs.self.ID) {
 		return
 	}
-	cs.enqueue(api.ReplicationFrame{
-		SpecID: e.ID, Origin: cs.self.ID, ToVersion: e.Version, Source: e.Source,
-	})
+	cs.enqueue(cs.fullFrame(e))
+}
+
+// fullFrame is the full replication frame for e: its canonical source
+// at its version, rendered on first use and shared by every caller.
+func (cs *clusterState) fullFrame(e *Entry) api.ReplicationFrame {
+	return api.ReplicationFrame{SpecID: e.ID, Origin: cs.self.ID, ToVersion: e.Version, Source: e.Source()}
 }
 
 // replicateDelta streams an applied patch to the spec's followers: the
@@ -293,9 +294,7 @@ func (cs *clusterState) fullSync(l *followerLink, spec string) {
 	m := cs.s.metrics
 	frame := api.ReplicationFrame{SpecID: spec, Origin: cs.self.ID, Delete: true}
 	if e, ok := cs.s.registry.Get(spec); ok {
-		frame = api.ReplicationFrame{
-			SpecID: spec, Origin: cs.self.ID, ToVersion: e.Version, Source: e.Source,
-		}
+		frame = cs.fullFrame(e)
 	}
 	chaos.ReplStall.Hit()
 	if _, err := cs.postFrame(l, &frame); err != nil {
@@ -405,7 +404,9 @@ func (s *Server) applyFrame(ctx context.Context, frame *api.ReplicationFrame) (a
 			// replica past it): acknowledge without applying.
 			return api.ReplicationAck{Version: e.Version}, nil
 		}
-		ne, err := s.applyReplicaDelta(ctx, e, frame)
+		// The owner grounded this patch once; the replica pays only the
+		// incremental engine patch when its predecessor is cached.
+		ne, _, err := s.applyDelta(ctx, e, frame.Delta, "replica", frame.ToVersion)
 		if err != nil {
 			// Any apply failure degrades to a full re-sync: the owner
 			// applied this delta successfully, so a local failure means
@@ -417,55 +418,6 @@ func (s *Server) applyFrame(ctx context.Context, frame *api.ReplicationFrame) (a
 		m.replicaDeltas.Inc()
 		return api.ReplicationAck{Version: ne.Version}, nil
 	}
-}
-
-// applyReplicaDelta applies a streamed delta to the local replica,
-// mirroring the owner's patch pipeline: the successor reasoner is built
-// first — incrementally, via the cached grounded predecessor, whenever
-// one exists — and only then does the registry publish the
-// owner-assigned version. This is the replication win the BENCH
-// incremental rows measure: the owner grounded the patch once, and the
-// replica pays only osolve.ApplyDelta.
-func (s *Server) applyReplicaDelta(ctx context.Context, e *Entry, frame *api.ReplicationFrame) (*Entry, error) {
-	tr := obs.From(ctx)
-	d, err := resolveDelta(e, frame.Delta)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	ns, _, err := d.Apply(e.File.Spec)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.patchDur.With(stageDeltaApply).Observe(time.Since(t0))
-	var nr *core.Reasoner
-	usedPatch := false
-	t1 := time.Now()
-	if old, ok := s.cache.Peek(reasonerKey{id: e.ID, version: e.Version}); ok {
-		nr, err = old.Patched(d)
-		usedPatch = true
-	} else {
-		nr, err = core.NewReasoner(ns)
-	}
-	if err != nil {
-		return nil, err
-	}
-	stage := stageReground
-	if usedPatch {
-		stage = stageRemap
-	}
-	s.metrics.patchDur.With(stage).Observe(time.Since(t1))
-	if tr != nil {
-		tr.AddSpan("replica."+stage, t1, fmt.Sprintf("spec=%s %d->%d", e.ID, frame.FromVersion, frame.ToVersion))
-	}
-	nr.Engine().SetWorkers(s.workers)
-	nr.Engine().SetStatsSink(&s.metrics.engine)
-	ne, err := s.registry.PatchReplicaEntry(e.ID, e.Version, frame.ToVersion, &parse.File{Spec: ns, Queries: e.File.Queries})
-	if err != nil {
-		return nil, err
-	}
-	s.cache.Install(reasonerKey{id: ne.ID, version: ne.Version}, nr, usedPatch)
-	return ne, nil
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -90,8 +91,12 @@ func TestPatchSpecEndToEnd(t *testing.T) {
 	if got.Version != 2 || !strings.Contains(got.Source, "r2") {
 		t.Fatalf("patched source: version %d, contains r2: %v", got.Version, strings.Contains(got.Source, "r2"))
 	}
-	if _, err := parse.ParseFile(got.Source); err != nil {
+	f, err := parse.ParseFile(got.Source)
+	if err != nil {
 		t.Fatalf("patched canonical source does not parse back: %v", err)
+	}
+	if again := parse.Marshal(f.Spec, f.Queries...); again != got.Source {
+		t.Fatalf("patched source is not canonical: re-marshaled\n%s\nserved\n%s", again, got.Source)
 	}
 
 	// Decisions run against the patched engine: r1 ≺ r2 is now certain,
@@ -300,5 +305,42 @@ func TestRegistryPatchEntryConflict(t *testing.T) {
 	})
 	if !errors.Is(err, server.ErrVersionConflict) {
 		t.Fatalf("got %v, want ErrVersionConflict", err)
+	}
+}
+
+// TestCacheKeepsOnlyLiveVersions pins that patches replace a spec's
+// cached reasoner instead of piling superseded versions into the LRU.
+func TestCacheKeepsOnlyLiveVersions(t *testing.T) {
+	c, _ := newTestServer(t, server.Options{})
+	const specs, patches = 3, 4
+	for i := 0; i < specs; i++ {
+		id := fmt.Sprintf("live%d", i)
+		if _, err := c.RegisterSpec(id, liveSource()); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < patches; k++ {
+			if _, err := c.Consistent(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.PatchSpec(id, api.DeltaRequest{
+				InsertTuples: []api.TupleInsert{{Rel: "R", Label: fmt.Sprintf("n%d", k), Values: []any{"e", 3 + k}}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Consistent(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheEntries != specs {
+		t.Fatalf("cache holds %d reasoners after %d patches to each of %d specs, want %d",
+			st.CacheEntries, patches, specs, specs)
+	}
+	if st.CachePatched != specs*patches || st.CacheRegrounded != 0 {
+		t.Fatalf("stats patched=%d regrounded=%d, want %d/0", st.CachePatched, st.CacheRegrounded, specs*patches)
 	}
 }

@@ -21,15 +21,25 @@ import (
 type Entry struct {
 	ID      string
 	Version int
-	// Source is the canonical textual form: the registered source
-	// re-marshaled, so GET always returns a form that parses back.
-	Source string
-	File   *parse.File
+	File    *parse.File
 
+	source struct {
+		once sync.Once
+		text string
+	}
 	// ptime and relaxed are the Section-6 views of File.Spec and of its
 	// constraint-relaxed form, each built on first use. An Entry is never
 	// mutated and a PATCH publishes a new one, so a view cannot go stale.
 	ptime, relaxed lazyView
+}
+
+// Source returns the canonical textual form of the entry: File
+// re-marshaled, so GET always returns a form that parses back. It is
+// rendered on first use rather than at publish time, which keeps every
+// registry write O(1) in the size of the spec.
+func (e *Entry) Source() string {
+	e.source.once.Do(func() { e.source.text = parse.Marshal(e.File.Spec, e.File.Queries...) })
+	return e.source.text
 }
 
 // lazyView builds a tractable view at most once.
@@ -88,8 +98,6 @@ func (g *Registry) Put(id, source string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonical := parse.Marshal(f.Spec, f.Queries...)
-
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if id == "" {
@@ -102,41 +110,14 @@ func (g *Registry) Put(id, source string) (*Entry, error) {
 		}
 	}
 	g.versions[id]++
-	e := &Entry{ID: id, Version: g.versions[id], Source: canonical, File: f}
+	e := &Entry{ID: id, Version: g.versions[id], File: f}
 	g.entries[id] = e
 	return e, nil
 }
 
-// ErrVersionConflict is returned by PatchEntry when the caller's base
+// ErrVersionConflict is returned by Publish when the caller's base
 // version no longer matches the registered one (a concurrent update won).
 var ErrVersionConflict = fmt.Errorf("spec version conflict")
-
-// PatchEntry publishes a patched specification for id, bumping the
-// version, if the registered version still equals base — the optimistic
-// concurrency check that keeps two concurrent PATCHes from silently
-// dropping one delta. The new entry's canonical source is re-marshaled
-// from the patched file, so GET keeps returning a form that parses back.
-func (g *Registry) PatchEntry(id string, base int, f *parse.File) (*Entry, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cur, ok := g.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("no spec %q", id)
-	}
-	if cur.Version != base {
-		return nil, fmt.Errorf("%w: spec %q is at version %d, patch based on %d",
-			ErrVersionConflict, id, cur.Version, base)
-	}
-	g.versions[id]++
-	e := &Entry{
-		ID:      id,
-		Version: g.versions[id],
-		Source:  parse.Marshal(f.Spec, f.Queries...),
-		File:    f,
-	}
-	g.entries[id] = e
-	return e, nil
-}
 
 // InstallReplica publishes a full replicated copy of a spec at exactly
 // the owner-assigned version. Stale frames (version <= the registered
@@ -152,7 +133,6 @@ func (g *Registry) InstallReplica(id, source string, version int) (*Entry, error
 	if err != nil {
 		return nil, err
 	}
-	canonical := parse.Marshal(f.Spec, f.Queries...)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if cur, ok := g.entries[id]; ok && cur.Version >= version {
@@ -161,18 +141,21 @@ func (g *Registry) InstallReplica(id, source string, version int) (*Entry, error
 	if g.versions[id] < version {
 		g.versions[id] = version
 	}
-	e := &Entry{ID: id, Version: version, Source: canonical, File: f}
+	e := &Entry{ID: id, Version: version, File: f}
 	g.entries[id] = e
 	return e, nil
 }
 
-// PatchReplicaEntry publishes a patched replica at the owner-assigned
-// version if the registered version still equals base — the follower
-// counterpart of PatchEntry, which must land on the owner's version
-// number rather than bump its own.
-func (g *Registry) PatchReplicaEntry(id string, base, version int, f *parse.File) (*Entry, error) {
+// Publish installs a patched specification for id at version if the
+// registered version still equals base — the optimistic concurrency
+// check that keeps two concurrent patches from silently dropping one
+// delta. The spec's owner publishes at base+1; a follower at the
+// version the owner assigned. Publishing is a pointer swap: the
+// canonical source is rendered later, on first use, so nothing under
+// the lock scales with the spec.
+func (g *Registry) Publish(id string, base, version int, f *parse.File) (*Entry, error) {
 	if version <= base {
-		return nil, fmt.Errorf("replica patch for %q must advance the version: %d -> %d", id, base, version)
+		return nil, fmt.Errorf("publishing %q must advance the version: %d -> %d", id, base, version)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -181,18 +164,13 @@ func (g *Registry) PatchReplicaEntry(id string, base, version int, f *parse.File
 		return nil, fmt.Errorf("no spec %q", id)
 	}
 	if cur.Version != base {
-		return nil, fmt.Errorf("%w: replica %q is at version %d, frame based on %d",
+		return nil, fmt.Errorf("%w: spec %q is at version %d, patch based on %d",
 			ErrVersionConflict, id, cur.Version, base)
 	}
 	if g.versions[id] < version {
 		g.versions[id] = version
 	}
-	e := &Entry{
-		ID:      id,
-		Version: version,
-		Source:  parse.Marshal(f.Spec, f.Queries...),
-		File:    f,
-	}
+	e := &Entry{ID: id, Version: version, File: f}
 	g.entries[id] = e
 	return e, nil
 }

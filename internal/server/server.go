@@ -353,7 +353,7 @@ func specInfo(e *Entry, withSource bool) api.SpecInfo {
 		info.Queries = append(info.Queries, q.Name)
 	}
 	if withSource {
-		info.Source = e.Source
+		info.Source = e.Source()
 	}
 	return info
 }
@@ -621,58 +621,13 @@ func (s *Server) patchCurrent(ctx context.Context, id string, req *api.DeltaRequ
 	}
 }
 
-// patch applies a resolved wire delta: the successor reasoner is built
-// first (patching the cached grounded predecessor when one exists), and
-// only on success does the registry publish the bumped version and the
-// cache install the reasoner — a failed delta leaves every layer
-// untouched, so clients can retry without double-applying.
+// patch applies a resolved wire delta as the spec's owner, publishing
+// the next version, and reports how the cache absorbed it.
 func (s *Server) patch(ctx context.Context, e *Entry, req *api.DeltaRequest) (*Entry, api.PatchInfo, error) {
-	tr := obs.From(ctx)
-	d, err := resolveDelta(e, req)
+	ne, nr, err := s.applyDelta(ctx, e, req, "patch", e.Version+1)
 	if err != nil {
 		return nil, api.PatchInfo{}, err
 	}
-	t0 := time.Now()
-	ns, _, err := d.Apply(e.File.Spec)
-	if err != nil {
-		return nil, api.PatchInfo{}, err
-	}
-	s.metrics.patchDur.With(stageDeltaApply).Observe(time.Since(t0))
-	if tr != nil {
-		tr.AddSpan("patch."+stageDeltaApply, t0, "")
-	}
-	var nr *core.Reasoner
-	usedPatch := false
-	t1 := time.Now()
-	if old, ok := s.cache.Peek(reasonerKey{id: e.ID, version: e.Version}); ok {
-		// The patched reasoner re-derives its spec from the old engine;
-		// it is content-identical to ns.
-		nr, err = old.Patched(d)
-		usedPatch = true
-	} else {
-		nr, err = core.NewReasoner(ns)
-	}
-	if err != nil {
-		return nil, api.PatchInfo{}, err
-	}
-	stage := stageReground
-	if usedPatch {
-		stage = stageRemap
-	}
-	s.metrics.patchDur.With(stage).Observe(time.Since(t1))
-	if tr != nil {
-		tr.AddSpan("patch."+stage, t1, "")
-	}
-	nr.Engine().SetWorkers(s.workers)
-	// Keep the lineage's counters flowing into the server-wide sink: a
-	// no-op on the remap path (ApplyDelta inherits the predecessor's
-	// sink), an absorb on the reground path (cold grounding effort).
-	nr.Engine().SetStatsSink(&s.metrics.engine)
-	ne, err := s.registry.PatchEntry(e.ID, e.Version, &parse.File{Spec: ns, Queries: e.File.Queries})
-	if err != nil {
-		return nil, api.PatchInfo{}, err // concurrent update won; nr is discarded
-	}
-	s.cache.Install(reasonerKey{id: ne.ID, version: ne.Version}, nr, usedPatch)
 	info := api.PatchInfo{}
 	if stats, ok := nr.Engine().PatchStats(); ok && !stats.FullRebuild {
 		info.Patched = true
@@ -684,6 +639,59 @@ func (s *Server) patch(ctx context.Context, e *Entry, req *api.DeltaRequest) (*E
 		s.metrics.droppedRules.Add(uint64(stats.DroppedRules))
 	}
 	return ne, info, nil
+}
+
+// applyDelta is the patch pipeline shared by a spec's owner and its
+// followers. The successor reasoner is built first (patching the cached
+// grounded predecessor when one exists), and only on success does the
+// registry publish it at version and the cache install it — a failed
+// delta leaves every layer untouched, so clients can retry without
+// double-applying. Spans are recorded under family: "patch" on the
+// owner, "replica" on a follower.
+func (s *Server) applyDelta(ctx context.Context, e *Entry, req *api.DeltaRequest, family string, version int) (*Entry, *core.Reasoner, error) {
+	tr := obs.From(ctx)
+	d, err := resolveDelta(e, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	t0 := time.Now()
+	ns, _, err := d.Apply(e.File.Spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.metrics.patchDur.With(stageDeltaApply).Observe(time.Since(t0))
+	if tr != nil {
+		tr.AddSpan(family+"."+stageDeltaApply, t0, "")
+	}
+	var nr *core.Reasoner
+	stage := stageReground
+	t1 := time.Now()
+	if old, ok := s.cache.Peek(reasonerKey{id: e.ID, version: e.Version}); ok {
+		// The patched reasoner re-derives its spec from the old engine;
+		// it is content-identical to ns.
+		nr, err = old.Patched(d)
+		stage = stageRemap
+	} else {
+		nr, err = core.NewReasoner(ns)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.metrics.patchDur.With(stage).Observe(time.Since(t1))
+	if tr != nil {
+		tr.AddSpan(family+"."+stage, t1, fmt.Sprintf("spec=%s %d->%d", e.ID, e.Version, version))
+	}
+	nr.Engine().SetWorkers(s.workers)
+	// Keep the lineage's counters flowing into the server-wide sink: a
+	// no-op on the remap path (ApplyDelta inherits the predecessor's
+	// sink), an absorb on the reground path (cold grounding effort).
+	nr.Engine().SetStatsSink(&s.metrics.engine)
+	ne, err := s.registry.Publish(e.ID, e.Version, version, &parse.File{Spec: ns, Queries: e.File.Queries})
+	if err != nil {
+		return nil, nil, err // concurrent update won; nr is discarded
+	}
+	s.cache.Install(reasonerKey{id: ne.ID, version: ne.Version}, nr, stage == stageRemap)
+	return ne, nr, nil
 }
 
 // register is the shared registration path of the HTTP handler and the
