@@ -452,6 +452,82 @@ func tableIncremental() {
 		incrementalRow(s, n, tuples, k, "delete", "delete-vs-reground",
 			gen.RandomDelta(rng, s, gen.DeltaConfig{Deletes: k}))
 	}
+	prose("\nwrite chain = %d chained writes (insert one tuple, reveal one pair, delete the previous insert)\n", writeChainPatches)
+	prose("%-10s %-14s %-14s %-14s %-14s %-14s\n",
+		"entities", "delta apply", "spec apply", "full rebuilds", "touched comps", "inconsistent")
+	for _, n := range []int{16, 64, 256} {
+		writeChainRow(n)
+	}
+}
+
+// writeChainPatches is the length of the write-chain experiment.
+const writeChainPatches = 64
+
+// writeChainRow measures currencyd's PATCH write chain on the engine: a
+// warm reasoner takes writeChainPatches chained writes
+// (gen.WriteChainDelta), each applied with Reasoner.Patched, whose result
+// becomes the next version. A version whose base propagation conflicts
+// can occur along the chain; full_rebuilds shows whether the patch after
+// it stayed incremental. Columns are means
+// per patch, each patch timed best of three: delta_apply_ns
+// (Reasoner.Patched: spec apply, incremental re-ground, re-search of
+// touched components), spec_apply_ns (a standalone spec.Delta.Apply of
+// the same delta), touched_comps (rebuilt components); full_rebuilds and
+// inconsistent_versions are counts over the chain.
+func writeChainRow(n int) {
+	s := hardWorkload(n)
+	tuples := 0
+	for _, r := range s.Relations {
+		tuples += r.Len()
+	}
+	r, err := core.NewReasoner(s)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r.Consistent()
+	rng := rand.New(rand.NewSource(int64(n)))
+	var deltaApply, specApply time.Duration
+	fullRebuilds, touched, inconsistent := 0, 0, 0
+	prev := ""
+	for k := 0; k < writeChainPatches; k++ {
+		d, err := gen.WriteChainDelta(rng, r.Spec(), prev)
+		if err != nil {
+			log.Fatal(err)
+		}
+		prev = d.Inserts[0].Rel
+		specApply += timed(func() {
+			if _, _, err := d.Apply(r.Spec()); err != nil {
+				log.Fatal(err)
+			}
+		})
+		var next *core.Reasoner
+		deltaApply += timed(func() {
+			if next, err = r.Patched(d); err != nil {
+				log.Fatal(err)
+			}
+		})
+		stats, _ := next.Engine().PatchStats()
+		if stats.FullRebuild {
+			fullRebuilds++
+		}
+		touched += stats.RebuiltComps
+		if !next.Consistent() {
+			inconsistent++
+		}
+		r = next
+	}
+	mean := func(d time.Duration) time.Duration { return d / writeChainPatches }
+	touchedMean := float64(touched) / writeChainPatches
+	emit(map[string]any{
+		"table": "incremental", "experiment": "write-chain",
+		"entities": n, "tuples": tuples, "patches": writeChainPatches,
+		"delta_apply_ns":        mean(deltaApply).Nanoseconds(),
+		"spec_apply_ns":         mean(specApply).Nanoseconds(),
+		"full_rebuilds":         fullRebuilds,
+		"touched_comps":         touchedMean,
+		"inconsistent_versions": inconsistent,
+	}, "%-10d %-14v %-14v %-14d %-14.1f %-14d\n",
+		n, mean(deltaApply), mean(specApply), fullRebuilds, touchedMean, inconsistent)
 }
 
 // incrementalRow measures one delta shape against one workload.

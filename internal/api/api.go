@@ -122,8 +122,11 @@ type DeltaRequest struct {
 // PatchInfo reports how the reasoner cache absorbed a spec patch.
 type PatchInfo struct {
 	// Patched is true when a cached grounded reasoner was patched
-	// incrementally; false when the new version grounds from scratch on
-	// demand (no grounded predecessor was cached).
+	// incrementally. It is false when the new version was grounded from
+	// scratch, in either of two cases: no grounded predecessor was
+	// cached, or the engine fell back to a full rebuild (the predecessor
+	// had a unit conflict, or the delta adds an unconditional denial
+	// constraint). Both count as cacheRegrounded in /stats.
 	Patched bool `json:"patched"`
 	// ReusedComps / RebuiltComps report the engine components carried
 	// over vs invalidated by the patch (zero when not patched).

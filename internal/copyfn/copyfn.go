@@ -154,38 +154,58 @@ type CompatRule struct {
 // CompatRules instantiates the ≺-compatibility condition: for every two
 // mapped target tuples t1, t2 with the same target EID whose sources s1, s2
 // share the same source EID, and every correlated attribute position, the
-// rule s1 ≺ s2 → t1 ≺ t2.
-func (cf *CopyFunction) CompatRules(target, source *relation.TemporalInstance) ([]CompatRule, error) {
+// rule s1 ≺ s2 → t1 ≺ t2. Rules come ordered by (t1, t2), then attribute
+// position.
+//
+// Only pairs within one (target EID, source EID) group can yield a rule,
+// so the mapping is grouped first and each entry is paired with the
+// members of its own group alone: the cost is Σ group², not |ρ|². A
+// non-nil keep restricts the result to the groups it accepts — the
+// incremental re-grounding re-derives only the groups of re-ground
+// entities — and entries of rejected groups are never paired at all.
+func (cf *CopyFunction) CompatRules(target, source *relation.TemporalInstance, keep func(tEID, sEID relation.Value) bool) ([]CompatRule, error) {
 	pairs, err := cf.AttrPairs(target.Schema, source.Schema)
 	if err != nil {
 		return nil, err
 	}
-	mapped := cf.Pairs()
+	mapped := make([][2]int, 0, len(cf.Mapping))
+	for t, s := range cf.Mapping {
+		if keep == nil || keep(target.EID(t), source.EID(s)) {
+			mapped = append(mapped, [2]int{t, s})
+		}
+	}
+	sort.Slice(mapped, func(i, j int) bool { return mapped[i][0] < mapped[j][0] })
+	// Group members stay in ascending target order, so walking every entry
+	// against its own group's members reproduces the (t1, t2) order of the
+	// all-pairs enumeration.
+	type groupKey struct{ t, s relation.Value }
+	groupIdx := make(map[groupKey]int)
+	groupOf := make([]int, len(mapped))
+	var members [][]int
+	for a, m := range mapped {
+		k := groupKey{target.EID(m[0]), source.EID(m[1])}
+		gi, ok := groupIdx[k]
+		if !ok {
+			gi = len(members)
+			groupIdx[k] = gi
+			members = append(members, nil)
+		}
+		members[gi] = append(members[gi], a)
+		groupOf[a] = gi
+	}
 	var rules []CompatRule
-	for a := 0; a < len(mapped); a++ {
-		for b := 0; b < len(mapped); b++ {
-			if a == b {
+	for a, m1 := range mapped {
+		for _, b := range members[groupOf[a]] {
+			m2 := mapped[b]
+			// ρ is a function, so t1 ≠ t2 whenever a ≠ b; when two targets
+			// share a source (s1 == s2) the body s1 ≺ s1 never holds.
+			if b == a || m1[1] == m2[1] {
 				continue
-			}
-			t1, s1 := mapped[a][0], mapped[a][1]
-			t2, s2 := mapped[b][0], mapped[b][1]
-			if target.EID(t1) != target.EID(t2) || source.EID(s1) != source.EID(s2) {
-				continue
-			}
-			if s1 == s2 || t1 == t2 {
-				// s1 ≺ s1 never holds; t1 ≺ t1 can never be forced.
-				// When s1 == s2 the body is unsatisfiable, skip. When
-				// t1 == t2 but s1 != s2, the head is a contradiction:
-				// keep as a head-false style rule by emitting TI == TJ;
-				// the solver treats TI == TJ as falsity.
-				if s1 == s2 {
-					continue
-				}
 			}
 			for _, p := range pairs {
 				rules = append(rules, CompatRule{
-					SAttr: p[1], SI: s1, SJ: s2,
-					TAttr: p[0], TI: t1, TJ: t2,
+					SAttr: p[1], SI: m1[1], SJ: m2[1],
+					TAttr: p[0], TI: m1[0], TJ: m2[0],
 				})
 			}
 		}
@@ -197,7 +217,7 @@ func (cf *CopyFunction) CompatRules(target, source *relation.TemporalInstance) (
 // given completions of its target and source instances: every source-order
 // pair between copied tuples is mirrored in the target.
 func (cf *CopyFunction) Compatible(target, source *relation.Completion) (bool, error) {
-	rules, err := cf.CompatRules(target.Base, source.Base)
+	rules, err := cf.CompatRules(target.Base, source.Base, nil)
 	if err != nil {
 		return false, err
 	}

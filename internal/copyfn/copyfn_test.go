@@ -1,6 +1,9 @@
 package copyfn
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"currency/internal/relation"
@@ -70,7 +73,7 @@ func TestCompatRulesAndCompatible(t *testing.T) {
 	cf := New("rho", "Dept", "Emp", []string{"mgrAddr"}, []string{"address"})
 	cf.Set(0, 0) // t0 <- s0 (e1)
 	cf.Set(1, 1) // t1 <- s1 (e1)
-	rules, err := cf.CompatRules(tgt, src)
+	rules, err := cf.CompatRules(tgt, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestCompatSkipsCrossEntitySources(t *testing.T) {
 	// Rewrite target tuple 1's address so it can copy from e2's tuple.
 	tgt.Tuples[1][1] = relation.S("8 Drum St")
 	cf.Set(1, 2) // e2 source
-	rules, err := cf.CompatRules(tgt, src)
+	rules, err := cf.CompatRules(tgt, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestSameSourceTupleNoRule(t *testing.T) {
 	cf := New("rho", "Dept", "Emp", []string{"mgrAddr"}, []string{"address"})
 	cf.Set(0, 0)
 	cf.Set(1, 0)
-	rules, err := cf.CompatRules(tgt, src)
+	rules, err := cf.CompatRules(tgt, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,5 +161,84 @@ func TestPairsSortedAndLen(t *testing.T) {
 	}
 	if cf.String() == "" {
 		t.Error("empty rendering")
+	}
+}
+
+// bruteCompatRules is the all-pairs enumeration CompatRules replaced:
+// every ordered pair of mapped entries, in target order, filtered by
+// entity agreement on both sides. It is the oracle for the grouped
+// derivation.
+func bruteCompatRules(cf *CopyFunction, target, source *relation.TemporalInstance) []CompatRule {
+	pairs, err := cf.AttrPairs(target.Schema, source.Schema)
+	if err != nil {
+		panic(err)
+	}
+	mapped := cf.Pairs()
+	var rules []CompatRule
+	for a := range mapped {
+		for b := range mapped {
+			t1, s1 := mapped[a][0], mapped[a][1]
+			t2, s2 := mapped[b][0], mapped[b][1]
+			if a == b || s1 == s2 || target.EID(t1) != target.EID(t2) || source.EID(s1) != source.EID(s2) {
+				continue
+			}
+			for _, p := range pairs {
+				rules = append(rules, CompatRule{SAttr: p[1], SI: s1, SJ: s2, TAttr: p[0], TI: t1, TJ: t2})
+			}
+		}
+	}
+	return rules
+}
+
+// TestCompatRulesGroupedMatchesBruteForce pins the grouped derivation to
+// the all-pairs enumeration on random mappings, many-to-one ones (two
+// targets sharing a source) included: same rules, same order. A keep
+// filter must return exactly the brute-force rules of the accepted
+// groups, still in order.
+func TestCompatRulesGroupedMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		tgt := relation.NewTemporal(relation.MustSchema("T", "eid", "a", "b"))
+		src := relation.NewTemporal(relation.MustSchema("S", "eid", "x", "y"))
+		nt, ns := 1+rng.Intn(24), 1+rng.Intn(24)
+		tEnts, sEnts := 1+rng.Intn(5), 1+rng.Intn(5)
+		for i := 0; i < nt; i++ {
+			tgt.MustAdd(relation.Tuple{relation.S(fmt.Sprint("t", rng.Intn(tEnts))), relation.I(0), relation.I(0)})
+		}
+		for i := 0; i < ns; i++ {
+			src.MustAdd(relation.Tuple{relation.S(fmt.Sprint("s", rng.Intn(sEnts))), relation.I(0), relation.I(0)})
+		}
+		cf := New("rho", "T", "S", []string{"a", "b"}, []string{"x", "y"})
+		for i := 0; i < nt; i++ {
+			if rng.Intn(4) != 0 {
+				// Few source tuples per draw: many targets share one.
+				cf.Set(i, rng.Intn(1+rng.Intn(ns)))
+			}
+		}
+		got, err := cf.CompatRules(tgt, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteCompatRules(cf, tgt, src)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: grouped rules differ from brute force:\n got %v\nwant %v", trial, got, want)
+		}
+
+		keepT := relation.S(fmt.Sprint("t", rng.Intn(tEnts)))
+		keepS := relation.S(fmt.Sprint("s", rng.Intn(sEnts)))
+		keep := func(te, se relation.Value) bool { return te == keepT || se == keepS }
+		got, err = cf.CompatRules(tgt, src, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantKept []CompatRule
+		for _, r := range want {
+			if keep(tgt.EID(r.TI), src.EID(r.SI)) {
+				wantKept = append(wantKept, r)
+			}
+		}
+		if !reflect.DeepEqual(got, wantKept) {
+			t.Fatalf("trial %d: filtered rules differ:\n got %v\nwant %v", trial, got, wantKept)
+		}
 	}
 }

@@ -138,13 +138,21 @@ func RandomDelta(rng *rand.Rand, s *spec.Spec, cfg DeltaConfig) *spec.Delta {
 	for k := 0; k < cfg.Orders; k++ {
 		r := s.Relations[rng.Intn(len(s.Relations))]
 		name := r.Schema.Name
-		eids := finalEIDs[name]
-		byEID := make(map[relation.Value][]int)
-		for i, e := range eids {
-			byEID[e] = append(byEID[e], i)
+		// Groups in first-appearance order, not map order: the pick must
+		// depend on the rng stream alone.
+		gi := make(map[relation.Value]int)
+		var all [][]int
+		for i, e := range finalEIDs[name] {
+			k, ok := gi[e]
+			if !ok {
+				k = len(all)
+				gi[e] = k
+				all = append(all, nil)
+			}
+			all[k] = append(all[k], i)
 		}
 		var groups [][]int
-		for _, g := range byEID {
+		for _, g := range all {
 			if len(g) >= 2 {
 				groups = append(groups, g)
 			}
@@ -173,6 +181,33 @@ func RandomDelta(rng *rand.Rand, s *spec.Spec, cfg DeltaConfig) *spec.Delta {
 		d.DropCopies = append(d.DropCopies, s.Copies[rng.Intn(len(s.Copies))].Name)
 	}
 	return d
+}
+
+// WriteChainDelta draws the next write of a write chain — the PATCH
+// stream shape of currencyd's load benchmark: insert one tuple, reveal
+// one order pair and, when prev names a relation, delete that relation's
+// last tuple (the one the previous write inserted). The specification
+// keeps its size along the chain, so every write costs about the same.
+// The insert and the reveal are drawn against the post-delete
+// specification, whose indices are the combined delta's post-delta
+// indices.
+func WriteChainDelta(rng *rand.Rand, s *spec.Spec, prev string) (*spec.Delta, error) {
+	base := s
+	var del []spec.TupleDelete
+	if prev != "" {
+		r, ok := s.Relation(prev)
+		if !ok {
+			return nil, fmt.Errorf("gen: write chain deletes from unknown relation %s", prev)
+		}
+		del = []spec.TupleDelete{{Rel: prev, Index: r.Len() - 1}}
+		var err error
+		if base, _, err = (&spec.Delta{Deletes: del}).Apply(s); err != nil {
+			return nil, err
+		}
+	}
+	d := RandomDelta(rng, base, DeltaConfig{Inserts: 1, NewEntity: 0.2, Orders: 1})
+	d.Deletes = del
+	return d, nil
 }
 
 // wireValue converts a relation value to its JSON wire form.

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"currency/internal/query"
@@ -34,6 +35,24 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 	if len(a.Constraints) != len(b.Constraints) || len(a.Copies) != len(b.Copies) {
 		t.Fatal("constraint/copy counts differ across identical seeds")
+	}
+}
+
+// TestRandomDeltaDeterministic checks that one rng seed yields one delta:
+// two draws from identically seeded streams are deeply equal, order
+// reveals included (their entity group was once picked in map order).
+func TestRandomDeltaDeterministic(t *testing.T) {
+	s := Random(Default(3))
+	cfg := DeltaConfig{Inserts: 2, NewEntity: 0.2, Deletes: 2, Orders: 4, PConstraint: 0.5, PCopyDrop: 0.5}
+	for seed := int64(0); seed < 100; seed++ {
+		a := RandomDelta(rand.New(rand.NewSource(seed)), s, cfg)
+		b := RandomDelta(rand.New(rand.NewSource(seed)), s, cfg)
+		if len(a.Orders) == 0 {
+			t.Fatalf("seed %d: no order reveal drawn; the check would be vacuous", seed)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: identical rng streams drew different deltas:\n%+v\n%+v", seed, a, b)
+		}
 	}
 }
 

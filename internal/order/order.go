@@ -120,6 +120,50 @@ func (ps *PairSet) Clone() *PairSet {
 	return out
 }
 
+// Remap returns the pair set renumbered through tm (old node -> new
+// node, -1 = node removed), dropping every pair with a removed endpoint.
+// tm must be injective on kept nodes and preserve their relative order
+// — the shape of a tuple-delete index map — so successor lists keep
+// their insertion order and no duplicate can arise. The result is built
+// directly over one backing slice, with no per-pair Add; each successor
+// list is capacity-limited, so a later Add reallocates that list alone
+// instead of writing into its neighbour's.
+func (ps *PairSet) Remap(tm []int) *PairSet {
+	kept, width := 0, 0
+	for a, ss := range ps.succ {
+		if len(ss) == 0 || tm[a] < 0 {
+			continue
+		}
+		for _, b := range ss {
+			if tm[b] >= 0 {
+				kept++
+				width = tm[a] + 1
+			}
+		}
+	}
+	out := &PairSet{n: kept}
+	if kept == 0 {
+		return out
+	}
+	backing := make([]int, 0, kept)
+	out.succ = make([][]int, width)
+	for a, ss := range ps.succ {
+		if len(ss) == 0 || tm[a] < 0 {
+			continue
+		}
+		start := len(backing)
+		for _, b := range ss {
+			if nb := tm[b]; nb >= 0 {
+				backing = append(backing, nb)
+			}
+		}
+		if len(backing) > start {
+			out.succ[tm[a]] = backing[start:len(backing):len(backing)]
+		}
+	}
+	return out
+}
+
 // AddAll inserts every pair of other into ps.
 func (ps *PairSet) AddAll(other *PairSet) {
 	other.Range(func(a, b int) bool {

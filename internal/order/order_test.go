@@ -220,3 +220,64 @@ func TestExtensionsRespectAllPairs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRemapMatchesRebuild checks PairSet.Remap against the rebuild it
+// replaces (Range over the old set, Add of every surviving renumbered
+// pair): same pairs in the same Range order, and a later Add on the
+// remapped set touches neither the source set nor another successor
+// list sharing the remap's backing slice.
+func TestRemapMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(30)
+		ps := NewPairSet()
+		for k := rng.Intn(4 * n); k > 0; k-- {
+			ps.Add(rng.Intn(n), rng.Intn(n))
+		}
+		// A delete-shaped index map: drop a random subset, renumber the
+		// survivors in order.
+		tm := make([]int, n)
+		next := 0
+		for i := range tm {
+			if rng.Intn(3) == 0 {
+				tm[i] = -1
+				continue
+			}
+			tm[i] = next
+			next++
+		}
+		want := NewPairSet()
+		ps.Range(func(a, b int) bool {
+			if tm[a] >= 0 && tm[b] >= 0 {
+				want.Add(tm[a], tm[b])
+			}
+			return true
+		})
+		got := ps.Remap(tm)
+		var gotSeq, wantSeq []Pair
+		got.Range(func(a, b int) bool { gotSeq = append(gotSeq, Pair{a, b}); return true })
+		want.Range(func(a, b int) bool { wantSeq = append(wantSeq, Pair{a, b}); return true })
+		if got.Len() != want.Len() || len(gotSeq) != len(wantSeq) {
+			t.Fatalf("trial %d: Remap has %d pairs (%d ranged), rebuild %d", trial, got.Len(), len(gotSeq), want.Len())
+		}
+		for i := range gotSeq {
+			if gotSeq[i] != wantSeq[i] {
+				t.Fatalf("trial %d: Range order differs at %d: %v vs %v", trial, i, gotSeq, wantSeq)
+			}
+		}
+		if next < 2 {
+			continue
+		}
+		before := ps.Pairs()
+		a, b := rng.Intn(next), rng.Intn(next)
+		got.Add(a, b)
+		want.Add(a, b)
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: Add(%d,%d) after Remap diverges from the rebuild", trial, a, b)
+		}
+		after := ps.Pairs()
+		if len(before) != len(after) {
+			t.Fatalf("trial %d: Add on the remapped set changed the source set", trial)
+		}
+	}
+}

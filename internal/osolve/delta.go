@@ -41,12 +41,21 @@ package osolve
 // components the delta actually touched. Deletes keep untouched
 // components' spans, verdicts and sub-models alive exactly like inserts.
 //
+// A predecessor whose base propagation conflicted still patches
+// incrementally: its blocks and ground rules are valid (only its base
+// arena stopped mid-propagation), so they carry over as usual and every
+// component is re-propagated instead of reused. Only two cases rebuild
+// from scratch (fullRebuild): a predecessor with a unit conflict (a
+// body-less denial recorded in no rule segment, so no remap can tell
+// whether it survives) and a delta adding an unconditional denial.
+//
 // The receiver is not mutated: readers in flight keep a consistent old
 // engine, and the caller swaps the patched one in when ready (see
 // core.Reasoner.Update).
 
 import (
 	"maps"
+	"time"
 
 	"currency/internal/copyfn"
 	"currency/internal/dc"
@@ -56,9 +65,15 @@ import (
 
 // PatchStats reports what ApplyDelta reused and what it rebuilt.
 type PatchStats struct {
-	// FullRebuild marks the fallback: the old engine held no reusable
-	// state (base conflict), so the patched solver was built from scratch.
+	// FullRebuild marks the fallback: the predecessor had a unit conflict
+	// or the delta adds an unconditional denial, so the patched solver
+	// was built from scratch.
 	FullRebuild bool
+	// SpecApply is the time the specification-level delta (spec.Delta.
+	// Apply) took inside ApplyDelta — the one apply of the delta, which
+	// callers report as their own delta-apply stage instead of applying
+	// the delta a second time.
+	SpecApply time.Duration
 	// TouchedBlocks counts blocks whose base state was rebuilt.
 	TouchedBlocks int
 	// ReusedComps / RebuiltComps partition the patched solver's
@@ -120,23 +135,25 @@ type patchCtx struct {
 // carried over — tuple deletes included, which remap surviving rules and
 // descriptors instead of rebuilding the touched relation. The patched
 // solver's touched components are cold until the next
-// whole-specification verdict (Consistent) searches them.
+// whole-specification verdict (Consistent) searches them. The patched
+// solver's Spec is the patched specification, and its PatchStats report
+// how long applying the delta to the specification took.
 func (sv *Solver) ApplyDelta(d *spec.Delta) (*Solver, error) {
+	t0 := time.Now()
 	newSpec, info, err := d.Apply(sv.Spec)
 	if err != nil {
 		return nil, err
 	}
-	if sv.baseConflict {
-		// A conflicted engine never searched anything: there is no state
-		// worth carrying over (and unit conflicts are not attributable to
-		// entities), so rebuild from scratch.
-		return sv.fullRebuild(newSpec)
+	specApply := time.Since(t0)
+	if sv.unitConflict {
+		// Unit conflicts belong to no rule segment, so whether one
+		// survives the delta is unknowable without re-grounding.
+		return sv.fullRebuild(newSpec, specApply)
 	}
 
 	out := &Solver{
-		Spec:    newSpec,
-		blockOf: make(map[BlockKey]int),
-		relOf:   make(map[string]*relation.TemporalInstance),
+		Spec:  newSpec,
+		relOf: make(map[string]*relation.TemporalInstance),
 		// Share the predecessor's counter sink: the lineage's engine
 		// counters stay monotonic across incremental patches.
 		stats: sv.stats,
@@ -148,7 +165,7 @@ func (sv *Solver) ApplyDelta(d *spec.Delta) (*Solver, error) {
 	if err := out.buildBlocksFrom(sv, info); err != nil {
 		return nil, err
 	}
-	stats := &PatchStats{}
+	stats := &PatchStats{SpecApply: specApply}
 	out.patch = stats
 
 	dirty, reGround, added, err := out.dirtyEntities(sv, d)
@@ -159,7 +176,7 @@ func (sv *Solver) ApplyDelta(d *spec.Delta) (*Solver, error) {
 		// An added constraint denies unconditionally (empty body, false
 		// head): the patched spec is inconsistent regardless of orders,
 		// and the conflict has no entity to attribute. Rebuild cold.
-		return sv.fullRebuild(newSpec)
+		return sv.fullRebuild(newSpec, specApply)
 	}
 
 	// Dense old↔new block translation and per-block dirtiness, computed
@@ -287,7 +304,7 @@ func (sv *Solver) ApplyDelta(d *spec.Delta) (*Solver, error) {
 
 // fullRebuild is ApplyDelta's fallback: ground the patched specification
 // from scratch and record the cold patch stats.
-func (sv *Solver) fullRebuild(newSpec *spec.Spec) (*Solver, error) {
+func (sv *Solver) fullRebuild(newSpec *spec.Spec, specApply time.Duration) (*Solver, error) {
 	out, err := New(newSpec)
 	if err != nil {
 		return nil, err
@@ -298,7 +315,7 @@ func (sv *Solver) fullRebuild(newSpec *spec.Spec) (*Solver, error) {
 	// grounding effort into the predecessor's sink and adopt it.
 	out.SetStatsSink(sv.stats)
 	out.patch = &PatchStats{
-		FullRebuild: true, TouchedBlocks: len(out.blocks),
+		FullRebuild: true, SpecApply: specApply, TouchedBlocks: len(out.blocks),
 		RebuiltComps: len(out.comps), RegroundRules: out.nRules,
 	}
 	return out, nil
@@ -333,6 +350,7 @@ func (out *Solver) buildBlocksFrom(old *Solver, info *spec.ApplyInfo) error {
 	// Deletes somewhere: descriptors are rebuilt per relation, but never
 	// from a full sweep — untouched relations share wholesale, deleted
 	// relations remap, appended-only relations patch.
+	out.blockOf = make(map[BlockKey]int, len(old.blocks))
 	byRel := make(map[string][]*Block, len(old.Spec.Relations))
 	for _, b := range old.blocks {
 		byRel[b.Key.Rel] = append(byRel[b.Key.Rel], b)
@@ -459,10 +477,12 @@ func (out *Solver) patchRelationBlocks(old *Solver, r *relation.TemporalInstance
 func (out *Solver) remapRelationBlocks(oldBlocks []*Block, r *relation.TemporalInstance, tm []int) {
 	name := r.Schema.Name
 	out.relOf[name] = r
-	nSurvive := 0
-	for _, ni := range tm {
+	nSurvive, firstDel := 0, len(tm)
+	for i, ni := range tm {
 		if ni >= 0 {
 			nSurvive++
+		} else if firstDel == len(tm) {
+			firstDel = i
 		}
 	}
 	// Appended tuples per entity (post-delta indices ≥ nSurvive), in
@@ -497,21 +517,31 @@ func (out *Solver) remapRelationBlocks(oldBlocks []*Block, r *relation.TemporalI
 	}
 	// One pass over the first attribute's old blocks (every multi-tuple
 	// entity has exactly one) derives each surviving entity's member
-	// list; every attribute's block shares it.
+	// list; every attribute's block shares it. An entity whose members all
+	// lie below the first deleted index, and which gained no tuple, keeps
+	// its member list verbatim (tm is the identity there), so the list is
+	// shared with the predecessor; only the descriptor is new, over the
+	// fresh position table — sharing whole descriptors would keep every
+	// predecessor's relation-wide Pos table alive.
 	firstAttr := attrs[0]
-	hadBlock := make(map[relation.Value]bool)
+	hadBlock := make(map[relation.Value]bool, len(oldBlocks)/len(attrs))
 	for _, b := range oldBlocks {
 		if b.Key.Attr != firstAttr {
 			continue
 		}
 		hadBlock[b.Key.EID] = true
-		members := make([]int, 0, len(b.Members)+len(appends[b.Key.EID]))
+		add := appends[b.Key.EID]
+		if len(add) == 0 && b.Members[len(b.Members)-1] < firstDel {
+			emit(b.Key.EID, b.Members)
+			continue
+		}
+		members := make([]int, 0, len(b.Members)+len(add))
 		for _, ti := range b.Members {
 			if ni := tm[ti]; ni >= 0 {
 				members = append(members, ni)
 			}
 		}
-		members = append(members, appends[b.Key.EID]...)
+		members = append(members, add...)
 		emit(b.Key.EID, members)
 	}
 	// Entities without an old block but with appended tuples: collect
@@ -627,7 +657,7 @@ func (out *Solver) dirtyEntities(sv *Solver, d *spec.Delta) (map[entKey]bool, ma
 		if !ok {
 			continue
 		}
-		crs, err := cf.CompatRules(out.relOf[cf.Target], out.relOf[cf.Source])
+		crs, err := cf.CompatRules(out.relOf[cf.Target], out.relOf[cf.Source], nil)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -946,11 +976,11 @@ func (out *Solver) rebuildRules(sv *Solver, d *spec.Delta, info *spec.ApplyInfo,
 			crs, cached := added.copies[cf.Name]
 			if !cached {
 				var err error
-				if crs, err = cf.CompatRules(out.relOf[cf.Target], out.relOf[cf.Source]); err != nil {
+				if crs, err = cf.CompatRules(out.relOf[cf.Target], out.relOf[cf.Source], nil); err != nil {
 					return err
 				}
 			}
-			if err := out.addCopyRules(cf, crs, nil); err != nil {
+			if err := out.addCopyRules(cf, crs); err != nil {
 				return err
 			}
 		} else if info.TupleMap[cf.Target] == nil && info.TupleMap[cf.Source] == nil {
@@ -972,17 +1002,18 @@ func (out *Solver) rebuildRules(sv *Solver, d *spec.Delta, info *spec.ApplyInfo,
 			}
 			// Copy rules never produce unit heads (their body is the
 			// source-order literal), so only the CSR range carries over.
+			// Re-derivation pairs only the mapping entries of (target
+			// entity, source entity) groups with a re-ground side: every
+			// compat rule's tuples lie in one such group.
 			if relReGround[cf.Target] || relReGround[cf.Source] {
-				tgt, src := out.relOf[cf.Target], out.relOf[cf.Source]
-				crs, err := cf.CompatRules(tgt, src)
+				crs, err := cf.CompatRules(out.relOf[cf.Target], out.relOf[cf.Source],
+					func(te, se relation.Value) bool {
+						return reGround[entKey{cf.Target, te}] || reGround[entKey{cf.Source, se}]
+					})
 				if err != nil {
 					return err
 				}
-				err = out.addCopyRules(cf, crs, func(cr copyfn.CompatRule) bool {
-					return reGround[entKey{cf.Target, tgt.EID(cr.TI)}] ||
-						reGround[entKey{cf.Source, src.EID(cr.SI)}]
-				})
-				if err != nil {
+				if err := out.addCopyRules(cf, crs); err != nil {
 					return err
 				}
 			}
@@ -1027,8 +1058,14 @@ type compReuse struct {
 // planReuse finds the components whose sub-problem is provably unchanged:
 // every block clean, and the old component covering those blocks held
 // exactly the same block set (otherwise rules into since-dirtied blocks
-// were dropped and the base spans may over-approximate).
+// were dropped and the base spans may over-approximate). A predecessor
+// with a base conflict has nothing to reuse.
 func (out *Solver) planReuse(sv *Solver, ctx *patchCtx, stateDirty []bool) []compReuse {
+	if sv.baseConflict {
+		// The predecessor's base arena stopped at the conflict: none of
+		// its spans is a fixpoint, and no component was ever searched.
+		return nil
+	}
 	var reuse []compReuse
 	for nci, nc := range out.comps {
 		clean := true

@@ -241,11 +241,11 @@ func (sv *Solver) groundRules() error {
 	}
 	for _, cf := range sv.Spec.Copies {
 		sv.beginSeg(segCopy, cf.Name)
-		crs, err := cf.CompatRules(sv.relOf[cf.Target], sv.relOf[cf.Source])
+		crs, err := cf.CompatRules(sv.relOf[cf.Target], sv.relOf[cf.Source], nil)
 		if err != nil {
 			return err
 		}
-		if err := sv.addCopyRules(cf, crs, nil); err != nil {
+		if err := sv.addCopyRules(cf, crs); err != nil {
 			return err
 		}
 		sv.endSeg()
@@ -290,15 +290,10 @@ func (sv *Solver) addConstraintRules(rel string, grs []dc.GroundRule) error {
 	return nil
 }
 
-// addCopyRules interns ≺-compatibility rules of one copy function. A
-// non-nil keep filter restricts to the rules it accepts — the
-// incremental path re-derives only the rules of delta-touched entities.
-func (sv *Solver) addCopyRules(cf *copyfn.CopyFunction, crs []copyfn.CompatRule, keep func(copyfn.CompatRule) bool) error {
+// addCopyRules interns ≺-compatibility rules of one copy function.
+func (sv *Solver) addCopyRules(cf *copyfn.CopyFunction, crs []copyfn.CompatRule) error {
 	var body []int32
 	for _, cr := range crs {
-		if keep != nil && !keep(cr) {
-			continue
-		}
 		srcLit, sameEntity, err := sv.litFor(cf.Source, cr.SAttr, cr.SI, cr.SJ)
 		if err != nil {
 			return err

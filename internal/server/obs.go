@@ -39,8 +39,11 @@ var opLabels = []string{
 }
 
 // Patch-pipeline stage labels: delta_apply is the spec-level COW delta,
-// remap the incremental engine patch (osolve.ApplyDelta via a cached
-// predecessor), reground the cold from-scratch grounding fallback.
+// applied once per patch (timed by the engine inside osolve.ApplyDelta
+// when a cached predecessor is patched, by the server otherwise); remap
+// the rest of the incremental engine patch; reground the from-scratch
+// grounding — no cached predecessor, or the engine's full-rebuild
+// fallback.
 const (
 	stageDeltaApply = "delta_apply"
 	stageRemap      = "remap"
@@ -113,7 +116,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Decisions answered, by engine (exact or ptime).", "engine",
 			[]string{api.EngineExact, api.EnginePTime}),
 		patchDur: obs.NewHistogramVec("currencyd_patch_stage_duration_seconds",
-			"Patch-pipeline stage latency: delta_apply (spec COW), remap (incremental engine patch), reground (cold rebuild).",
+			"Patch-pipeline stage latency: delta_apply (the one spec COW apply per patch, timed inside the engine when a cached predecessor is patched), remap (incremental engine patch, apply excluded), reground (from-scratch grounding: no cached predecessor, or the engine's full-rebuild fallback).",
 			"stage", stageLabels, nil),
 		replLag: obs.NewNamedHistogram("currencyd_replication_lag_seconds",
 			"Owner-side replication lag: frame enqueue to follower ack.", nil),

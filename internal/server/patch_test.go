@@ -3,9 +3,11 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"currency/internal/api"
 	"currency/internal/core"
@@ -148,6 +150,60 @@ func TestPatchSpecRegroundPath(t *testing.T) {
 	res, err := c.Consistent("cold")
 	if err != nil || res.Holds == nil || !*res.Holds {
 		t.Fatalf("post-patch consistent: %+v err=%v", res, err)
+	}
+}
+
+// TestPatchSpecEngineFallbackIsReground pins the labelling of a patch
+// whose cached predecessor could not be patched incrementally: an added
+// unconditional denial (empty body, false head) makes the engine rebuild
+// from scratch, and the pipeline must say reground everywhere — PatchInfo,
+// the cache counter and the trace span — not remap.
+func TestPatchSpecEngineFallbackIsReground(t *testing.T) {
+	c, _ := newTestServer(t, server.Options{SlowQuery: time.Nanosecond, RequestLog: io.Discard})
+	if _, err := c.RegisterSpec("deny", liveSource()); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Consistent("deny"); err != nil || res.Holds == nil || !*res.Holds {
+		t.Fatalf("v1 consistent: %+v err=%v", res, err)
+	}
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch, err := c.PatchSpec("deny", api.DeltaRequest{
+		AddConstraints: []string{"constraint never on R forall s: true -> false"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patch.Patch.Patched {
+		t.Fatalf("a full-rebuild fallback reported as an incremental patch: %+v", patch.Patch)
+	}
+	after, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.CacheRegrounded - before.CacheRegrounded; got != 1 {
+		t.Errorf("cacheRegrounded rose by %d, want 1", got)
+	}
+	if after.CachePatched != before.CachePatched {
+		t.Errorf("cachePatched rose %d -> %d on a fallback", before.CachePatched, after.CachePatched)
+	}
+	traces, err := c.SlowTraces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := make(map[string]bool)
+	for _, tr := range traces.Traces {
+		for _, sp := range tr.Spans {
+			spans[sp.Name] = true
+		}
+	}
+	if !spans["patch.reground"] || !spans["patch.delta_apply"] || spans["patch.remap"] {
+		t.Errorf("want patch.delta_apply and patch.reground spans and no patch.remap, got %v", spans)
+	}
+	if res, err := c.Consistent("deny"); err != nil || res.Holds == nil || *res.Holds {
+		t.Fatalf("an unconditional denial must make v2 inconsistent: %+v err=%v", res, err)
 	}
 }
 

@@ -646,40 +646,53 @@ func (s *Server) patch(ctx context.Context, e *Entry, req *api.DeltaRequest) (*E
 // grounded predecessor when one exists), and only on success does the
 // registry publish it at version and the cache install it — a failed
 // delta leaves every layer untouched, so clients can retry without
-// double-applying. Spans are recorded under family: "patch" on the
-// owner, "replica" on a follower.
+// double-applying. The delta is applied to the specification once: on
+// the patch path by the engine, which hands back the patched spec and
+// times its own apply; only without a cached predecessor does the server
+// apply it here before grounding. Spans are recorded under family:
+// "patch" on the owner, "replica" on a follower. The engine stage is
+// labelled remap when the predecessor was patched incrementally and
+// reground when the version was grounded from scratch — no cached
+// predecessor, or an engine fallback to a full rebuild.
 func (s *Server) applyDelta(ctx context.Context, e *Entry, req *api.DeltaRequest, family string, version int) (*Entry, *core.Reasoner, error) {
 	tr := obs.From(ctx)
 	d, err := resolveDelta(e, req)
 	if err != nil {
 		return nil, nil, err
 	}
+	var (
+		ns    *spec.Spec
+		nr    *core.Reasoner
+		apply time.Duration
+		stage = stageReground
+	)
 	t0 := time.Now()
-	ns, _, err := d.Apply(e.File.Spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.metrics.patchDur.With(stageDeltaApply).Observe(time.Since(t0))
-	if tr != nil {
-		tr.AddSpan(family+"."+stageDeltaApply, t0, "")
-	}
-	var nr *core.Reasoner
-	stage := stageReground
-	t1 := time.Now()
 	if old, ok := s.cache.Peek(reasonerKey{id: e.ID, version: e.Version}); ok {
-		// The patched reasoner re-derives its spec from the old engine;
-		// it is content-identical to ns.
-		nr, err = old.Patched(d)
-		stage = stageRemap
+		if nr, err = old.Patched(d); err != nil {
+			return nil, nil, err
+		}
+		ns = nr.Spec()
+		stats, _ := nr.Engine().PatchStats()
+		apply = stats.SpecApply
+		if !stats.FullRebuild {
+			stage = stageRemap
+		}
 	} else {
-		nr, err = core.NewReasoner(ns)
+		if ns, _, err = d.Apply(e.File.Spec); err != nil {
+			return nil, nil, err
+		}
+		apply = time.Since(t0)
+		if nr, err = core.NewReasoner(ns); err != nil {
+			return nil, nil, err
+		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	s.metrics.patchDur.With(stage).Observe(time.Since(t1))
+	engine := time.Since(t0) - apply
+	s.metrics.patchDur.With(stageDeltaApply).Observe(apply)
+	s.metrics.patchDur.With(stage).Observe(engine)
 	if tr != nil {
-		tr.AddSpan(family+"."+stage, t1, fmt.Sprintf("spec=%s %d->%d", e.ID, e.Version, version))
+		off := t0.Sub(tr.Start)
+		tr.AddSpanAt(family+"."+stageDeltaApply, off, apply, "")
+		tr.AddSpanAt(family+"."+stage, off+apply, engine, fmt.Sprintf("spec=%s %d->%d", e.ID, e.Version, version))
 	}
 	nr.Engine().SetWorkers(s.workers)
 	// Keep the lineage's counters flowing into the server-wide sink: a

@@ -219,18 +219,22 @@ func (d *Delta) Apply(s *Spec) (*Spec, *ApplyInfo, error) {
 				return nil, nil, fmt.Errorf("spec: delta deletes tuple %d of %s twice", idxs[k], rel)
 			}
 		}
-		r := cow(rel)
-		tm := make([]int, r.Len())
-		gone := make(map[int]bool, len(idxs))
-		for _, i := range idxs {
-			gone[i] = true
+		// The relation's private copy is built here directly from the
+		// shared one (not through cow, whose tuple and label copies this
+		// rebuild would immediately discard).
+		ri := 0 // Validate guarantees the relation exists
+		for out.Relations[ri].Schema.Name != rel {
+			ri++
 		}
-		next := 0
+		r := out.Relations[ri]
+		tm := make([]int, r.Len())
 		newTuples := make([]relation.Tuple, 0, r.Len()-len(idxs))
 		newLabels := make([]string, 0, r.Len()-len(idxs))
+		next, di := 0, 0
 		for i := range r.Tuples {
-			if gone[i] {
+			if di < len(idxs) && idxs[di] == i {
 				tm[i] = -1
+				di++
 				continue
 			}
 			tm[i] = next
@@ -238,30 +242,22 @@ func (d *Delta) Apply(s *Spec) (*Spec, *ApplyInfo, error) {
 			newTuples = append(newTuples, r.Tuples[i])
 			newLabels = append(newLabels, r.Labels[i])
 		}
-		r.Tuples, r.Labels = newTuples, newLabels
 		info.TupleMap[rel] = tm
 		// Remap the currency orders, dropping pairs on deleted tuples.
-		// The rebuilt sets are private by construction.
-		if cowedOrders[rel] == nil {
-			cowedOrders[rel] = make(map[int]bool)
-		}
+		// The remapped sets are private by construction.
+		orders := make([]*order.PairSet, len(r.Orders))
+		cowedOrders[rel] = make(map[int]bool, len(r.Orders))
 		for ai, ps := range r.Orders {
-			if ps == nil {
-				continue
+			if ps != nil {
+				orders[ai] = ps.Remap(tm)
+				cowedOrders[rel][ai] = true
 			}
-			np := order.NewPairSet()
-			// Range walks the adjacency index directly — no materialized,
-			// sorted pair slice per attribute, which made delete-heavy
-			// deltas pay O(pairs log pairs) per block here.
-			ps.Range(func(a, b int) bool {
-				if tm[a] >= 0 && tm[b] >= 0 {
-					np.Add(tm[a], tm[b])
-				}
-				return true
-			})
-			r.Orders[ai] = np
-			cowedOrders[rel][ai] = true
 		}
+		out.Relations[ri] = &relation.TemporalInstance{
+			Instance: &relation.Instance{Schema: r.Schema, Tuples: newTuples, Labels: newLabels},
+			Orders:   orders,
+		}
+		cowed[rel] = true
 	}
 	// Remap copy functions over relations with deletes, dropping mapping
 	// entries whose endpoint is gone. Entry drops change the compat rules,
